@@ -17,9 +17,9 @@
 //! * **Blocked never aborts** — exhausting the retry policy degrades
 //!   the session (blocked + skipped + degraded replan), never errors.
 //! * **Skip-downstream** — a blocked or skipped activity dooms its
-//!   transitive consumers; they are reported skipped, in dependency
-//!   order, interleaved with dispatches exactly as the serial scan
-//!   reported them.
+//!   transitive consumers still waiting on an input; each is reported
+//!   skipped once, in dependency order, interleaved with dispatches
+//!   exactly as the serial scan reported them.
 //! * **Retry/timeout/budget accounting** — the per-activity fault loop
 //!   is the serial code verbatim (worker speed scales run durations;
 //!   timeouts and backoffs are wall-clock and stay unscaled).
@@ -34,10 +34,10 @@
 //! [`ExecutionReport`], store mutations, and trace byte-for-byte (the
 //! differential test in [`crate::execute`] pins this).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use metadata::EntityInstanceId;
-use schedule::{ScheduleNetwork, WorkDays};
+use schedule::WorkDays;
 use simtools::cluster::Cluster;
 use simtools::{InjectedFault, ToolInvocation};
 
@@ -45,6 +45,22 @@ use crate::error::HerculesError;
 use crate::execute::{ActivityExecution, BlockedActivity, ExecutionReport, ITERATION_CAP};
 use crate::manager::Hercules;
 use crate::policy::{DispatchContext, ReadyTask, SchedulingPolicy, WorkerSnapshot};
+
+/// Where an activity of the execution scope stands in the engine's
+/// admission bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Completed in an earlier session: never dispatched.
+    Done,
+    /// Some input not yet published.
+    Waiting,
+    /// In the ready queue.
+    Queued,
+    /// Dispatched this session (executed or blocked).
+    Dispatched,
+    /// An input can never be published: reported skipped.
+    Doomed,
+}
 
 impl Hercules {
     /// Executes `target` through the ready-queue engine under `policy`.
@@ -78,18 +94,7 @@ impl Hercules {
 
         let names = tree.activities();
         let n = names.len();
-        // Position-indexed views over the scope: the hot dispatch loop
-        // never re-resolves producers/consumers through string-keyed
-        // tree lookups (the engine-overhead half of the B17
-        // `exec_policies` gate holds default execution to the serial
-        // executor's wall-clock). The consumer adjacency itself is
-        // precomputed by [`TaskTree::extract`].
-        let inputs_idx: Vec<&[String]> = (0..n).map(|i| tree.inputs_at(i)).collect();
-        let output_idx: Vec<&str> = (0..n).map(|i| tree.output_at(i)).collect();
-        let done: Vec<bool> = names
-            .iter()
-            .map(|a| self.db().current_plan(a).is_some_and(|p| p.is_complete()))
-            .collect();
+        let done = self.completed(&tree);
         // Dispatch-time estimates feed the policy inputs (slack, ranks,
         // finish estimates); completed work is a zero-duration
         // milestone, as in forecasting. Policies that decide purely
@@ -108,16 +113,8 @@ impl Hercules {
             }
             // Total slack over the scope (CPM), indexed by topo
             // position.
-            let mut net = ScheduleNetwork::new();
-            let mut ids = Vec::with_capacity(n);
-            for (i, a) in names.iter().enumerate() {
-                ids.push(net.add_activity(a.clone(), estimate[i])?);
-            }
-            for i in 0..n {
-                for &j in tree.consumers_at(i) {
-                    net.add_precedence(ids[i], ids[j])?;
-                }
-            }
+            let scope: Vec<usize> = (0..n).collect();
+            let (net, _) = tree.precedence_network(&scope, &estimate)?;
             slack = net.analyze()?.total_slacks();
             // Upward rank: critical-path length from each activity to
             // the scope's sink, inclusive (HEFT's priority key).
@@ -179,55 +176,45 @@ impl Hercules {
             vec![None; n]
         };
 
-        // Admission bookkeeping: per activity, the input classes not
-        // yet published, plus the running max of its published inputs'
-        // availability times (so admission is O(1) — no re-walk of the
-        // data_ready map when the last input lands). Classes that can
-        // never be published (their producer blocked, was skipped, or
-        // completed without a linked result) are *dead*; activities
-        // with a dead input are *doomed* and reported skipped, in
-        // dependency order, transitively.
+        // Admission bookkeeping, by position: each activity counts its
+        // distinct input classes not yet published and keeps the
+        // running max of its published inputs' availability times, so
+        // the producer publishing the last input admits it in O(1).
+        // An activity whose producer blocked, or was itself doomed,
+        // can never get that input: it is *doomed* and reported
+        // skipped, in dependency order, and so are its consumers.
+        // Completion links a result, so a completed producer's output
+        // is always published: nothing starts doomed.
         let mut avail: Vec<WorkDays> = vec![self.clock; n];
-        let mut missing: Vec<Vec<&str>> = Vec::with_capacity(n);
-        for (i, ins) in inputs_idx.iter().enumerate() {
-            let mut not_ready = Vec::new();
-            for class in ins.iter() {
+        let mut unpublished = vec![0usize; n];
+        let mut slot: Vec<Slot> = done
+            .iter()
+            .map(|&d| if d { Slot::Done } else { Slot::Waiting })
+            .collect();
+        for i in (0..n).filter(|&i| !done[i]) {
+            let ins = tree.inputs_at(i);
+            for (k, class) in ins.iter().enumerate() {
                 match data_ready.get(class.as_str()) {
                     Some(&(at, _)) => avail[i] = avail[i].max(at),
-                    None => not_ready.push(class.as_str()),
+                    None if !ins[..k].contains(class) => unpublished[i] += 1,
+                    None => {}
                 }
             }
-            missing.push(not_ready);
         }
-        let mut dispatched = vec![false; n];
-        let mut dead: HashSet<String> = HashSet::new();
+        // Doomed activities not yet reported skipped.
         let mut doomed: BTreeSet<usize> = BTreeSet::new();
-        let doom_from = |worklist: &mut Vec<String>,
-                         dead: &mut HashSet<String>,
-                         doomed: &mut BTreeSet<usize>,
-                         dispatched: &[bool]| {
-            while let Some(cls) = worklist.pop() {
-                if !dead.insert(cls.clone()) {
-                    continue;
-                }
-                for j in 0..n {
-                    if done[j] || dispatched[j] || doomed.contains(&j) {
-                        continue;
-                    }
-                    if inputs_idx[j].contains(&cls) {
+        let doom = |from: usize, slot: &mut [Slot], doomed: &mut BTreeSet<usize>| {
+            let mut stack = vec![from];
+            while let Some(i) = stack.pop() {
+                for &j in tree.consumers_at(i) {
+                    if slot[j] == Slot::Waiting {
+                        slot[j] = Slot::Doomed;
                         doomed.insert(j);
-                        worklist.push(output_idx[j].to_owned());
+                        stack.push(j);
                     }
                 }
             }
         };
-        // Completed activities whose result never got linked leave
-        // their output class permanently missing.
-        let mut initial_dead: Vec<String> = (0..n)
-            .filter(|&i| done[i] && !data_ready.contains_key(output_idx[i]))
-            .map(|i| output_idx[i].to_owned())
-            .collect();
-        doom_from(&mut initial_dead, &mut dead, &mut doomed, &dispatched);
 
         let admit = |i: usize,
                      ready_at: WorkDays,
@@ -241,7 +228,7 @@ impl Hercules {
             // cluster; the implicit substrate is shared team storage,
             // so skip the byte accounting there.
             if !implicit {
-                for class in inputs_idx[i] {
+                for class in tree.inputs_at(i) {
                     let &(_, inst) = data_ready.get(class).expect("admitted with all inputs");
                     let bytes = h
                         .db()
@@ -265,7 +252,8 @@ impl Hercules {
         };
         let mut ready: Vec<ReadyTask<'_>> = Vec::new();
         for i in 0..n {
-            if !done[i] && missing[i].is_empty() && !doomed.contains(&i) {
+            if slot[i] == Slot::Waiting && unpublished[i] == 0 {
+                slot[i] = Slot::Queued;
                 ready.push(admit(i, avail[i], &data_ready, &produced_on, self));
             }
         }
@@ -308,15 +296,12 @@ impl Hercules {
             // between dispatches exactly as the serial scan wove them:
             // everything doomed before this dispatch's position flushes
             // first.
-            while let Some(&j) = doomed.first() {
-                if j >= i {
-                    break;
-                }
-                doomed.remove(&j);
+            while doomed.first().is_some_and(|&j| j < i) {
+                let j = doomed.pop_first().expect("checked non-empty");
                 obs::event!("execute.skipped", activity = names[j].as_str());
                 skipped.push(names[j].clone());
             }
-            dispatched[i] = true;
+            slot[i] = Slot::Dispatched;
             let activity = &names[i];
             let assignee = assignee_of[i].clone();
             // A home binding (implicit mode) overrides the policy's
@@ -330,7 +315,7 @@ impl Hercules {
             let mut ready_at = self.clock;
             let mut inputs: Vec<EntityInstanceId> = Vec::new();
             let mut input_bytes = 0u64;
-            for class in inputs_idx[i] {
+            for class in tree.inputs_at(i) {
                 let &(at, inst) = data_ready.get(class).expect("ready with all inputs");
                 let bytes = self
                     .db()
@@ -364,7 +349,7 @@ impl Hercules {
                 .rule(activity)
                 .ok_or_else(|| HerculesError::UnknownActivity(activity.to_owned()))?;
             let tool_name = rule.tool().to_owned();
-            let output_class = output_idx[i].to_owned();
+            let output_class = tree.output_at(i).to_owned();
             let mut t = start;
             let mut iterations = 0u32;
             let mut attempts = 0u32;
@@ -483,8 +468,7 @@ impl Hercules {
                 }
                 // The output will never be published: doom the
                 // transitive consumers.
-                let mut worklist = vec![output_class];
-                doom_from(&mut worklist, &mut dead, &mut doomed, &dispatched);
+                doom(i, &mut slot, &mut doomed);
                 continue;
             }
             let final_instance = match final_instance {
@@ -506,7 +490,11 @@ impl Hercules {
                 let sc = plan.id();
                 self.store.link_completion(sc, final_instance)?;
             }
-            data_ready.insert(output_class.clone(), (t, final_instance));
+            // A class already available before (a designer-supplied
+            // instance) was never counted as unpublished.
+            let fresh = data_ready
+                .insert(output_class.clone(), (t, final_instance))
+                .is_none();
             if !implicit {
                 produced_on.insert(output_class.clone(), w);
             }
@@ -531,12 +519,15 @@ impl Hercules {
             });
             // Publishing the output may admit consumers.
             for &j in tree.consumers_at(i) {
-                if done[j] || dispatched[j] || doomed.contains(&j) {
+                if slot[j] != Slot::Waiting {
                     continue;
                 }
-                missing[j].retain(|cls| *cls != output_class.as_str());
                 avail[j] = avail[j].max(t);
-                if missing[j].is_empty() && !ready.iter().any(|r| r.topo_index == j) {
+                if fresh {
+                    unpublished[j] -= 1;
+                }
+                if unpublished[j] == 0 {
+                    slot[j] = Slot::Queued;
                     ready.push(admit(j, avail[j], &data_ready, &produced_on, self));
                 }
             }
@@ -548,46 +539,13 @@ impl Hercules {
             skipped.push(names[j].clone());
         }
         debug_assert!(
-            (0..n).all(|i| done[i] || dispatched[i] || doomed.contains(&i)),
+            slot.iter()
+                .all(|s| matches!(s, Slot::Done | Slot::Dispatched | Slot::Doomed)),
             "every activity must be completed, dispatched, or skipped"
         );
 
         self.clock = finished_at;
-        // Graceful degradation: blocking failures trigger an automatic
-        // replan of the open scope. The blocked activities' burned time
-        // is folded into their duration estimates, so exactly they are
-        // dirty and the incremental CPM engine recomputes only their
-        // downstream cone.
-        let mut replanned = Vec::new();
-        if !newly_blocked.is_empty() {
-            for (name, burned) in &newly_blocked {
-                let base = self.duration_estimate(name)?;
-                self.estimates.insert(name.clone(), base + *burned);
-            }
-            let any_planned = tree
-                .activities()
-                .iter()
-                .any(|a| self.store.db().current_plan(a).is_some());
-            if any_planned {
-                let completed: Vec<String> = tree
-                    .activities()
-                    .iter()
-                    .filter(|a| {
-                        self.store
-                            .db()
-                            .current_plan(a)
-                            .is_some_and(|p| p.is_complete())
-                    })
-                    .cloned()
-                    .collect();
-                let plan = self.plan_scope(target, &completed)?;
-                replanned = plan
-                    .activities()
-                    .iter()
-                    .map(|pa| (pa.activity.clone(), pa.schedule))
-                    .collect();
-            }
-        }
+        let replanned = self.replan_blocked(&tree, &newly_blocked)?;
         obs::Collector::set_sim_days(finished_at.days());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());

@@ -8,6 +8,7 @@ use simtools::{InjectedFault, ToolInvocation};
 use crate::error::HerculesError;
 use crate::manager::Hercules;
 use crate::policy::{ExecutionPolicy, SchedulingPolicy};
+use crate::task::TaskTree;
 
 /// Hard cap on iterations per activity, so a pathological tool model
 /// cannot spin forever. Real tool models converge far earlier. Hitting
@@ -267,7 +268,7 @@ impl Hercules {
     /// linked results of already-completed plans in `tree`'s scope.
     pub(crate) fn seed_data_ready(
         &self,
-        tree: &crate::task::TaskTree,
+        tree: &TaskTree,
     ) -> HashMap<String, (WorkDays, EntityInstanceId)> {
         let mut data_ready: HashMap<String, (WorkDays, EntityInstanceId)> = HashMap::new();
         for (class, &inst) in &self.supplied {
@@ -286,6 +287,41 @@ impl Hercules {
             }
         }
         data_ready
+    }
+
+    /// Graceful degradation after a session in which activities
+    /// blocked: folds each one's burned time into its duration
+    /// estimate, so exactly they are dirty and the incremental CPM
+    /// engine recomputes only their downstream cone, then replans the
+    /// open part of `tree` if any of it was planned. Returns the new
+    /// schedule instances.
+    pub(crate) fn replan_blocked(
+        &mut self,
+        tree: &TaskTree,
+        newly_blocked: &[(String, WorkDays)],
+    ) -> Result<Vec<(String, ScheduleInstanceId)>, HerculesError> {
+        if newly_blocked.is_empty() {
+            return Ok(Vec::new());
+        }
+        for (name, burned) in newly_blocked {
+            let base = self.duration_estimate(name)?;
+            self.estimates.insert(name.clone(), base + *burned);
+        }
+        let db = self.store.db();
+        if !tree
+            .activities()
+            .iter()
+            .any(|a| db.current_plan(a).is_some())
+        {
+            return Ok(Vec::new());
+        }
+        let completed = self.completed(tree);
+        let plan = self.plan_scope(tree, &completed)?;
+        Ok(plan
+            .activities()
+            .iter()
+            .map(|pa| (pa.activity.clone(), pa.schedule))
+            .collect())
     }
 
     /// The original single-pass serial executor: one linear walk over
@@ -544,41 +580,7 @@ impl Hercules {
             });
         }
         self.clock = finished_at;
-        // Graceful degradation: blocking failures trigger an automatic
-        // replan of the open scope. The blocked activities' burned time
-        // is folded into their duration estimates, so exactly they are
-        // dirty and the incremental CPM engine recomputes only their
-        // downstream cone.
-        let mut replanned = Vec::new();
-        if !newly_blocked.is_empty() {
-            for (name, burned) in &newly_blocked {
-                let base = self.duration_estimate(name)?;
-                self.estimates.insert(name.clone(), base + *burned);
-            }
-            let any_planned = tree
-                .activities()
-                .iter()
-                .any(|a| self.store.db().current_plan(a).is_some());
-            if any_planned {
-                let completed: Vec<String> = tree
-                    .activities()
-                    .iter()
-                    .filter(|a| {
-                        self.store
-                            .db()
-                            .current_plan(a)
-                            .is_some_and(|p| p.is_complete())
-                    })
-                    .cloned()
-                    .collect();
-                let plan = self.plan_scope(target, &completed)?;
-                replanned = plan
-                    .activities()
-                    .iter()
-                    .map(|pa| (pa.activity.clone(), pa.schedule))
-                    .collect();
-            }
-        }
+        let replanned = self.replan_blocked(&tree, &newly_blocked)?;
         obs::Collector::set_sim_days(finished_at.days());
         exec_span.record("executed", executions.len());
         exec_span.record("blocked", blocked_rows.len());
@@ -598,6 +600,7 @@ impl Hercules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{Dispatch, DispatchContext};
     use schema::examples;
     use simtools::{workload::Team, FaultPlan, ToolLibrary};
 
@@ -757,6 +760,117 @@ mod tests {
         // ...but the designer never declared completion.
         assert!(!h.db().current_plan("Create").unwrap().is_complete());
         assert_eq!(h.db().actual_finish("Create"), None);
+    }
+
+    /// Dispatches the first listed activity that is ready.
+    #[derive(Debug)]
+    struct InOrder(&'static [&'static str]);
+
+    impl SchedulingPolicy for InOrder {
+        fn name(&self) -> &str {
+            "in-order"
+        }
+
+        fn select(&mut self, ctx: &DispatchContext<'_>) -> Dispatch {
+            let task = self
+                .0
+                .iter()
+                .find_map(|&a| ctx.ready.iter().position(|t| t.activity == a))
+                .expect("a listed activity is ready");
+            Dispatch { task, worker: 0 }
+        }
+    }
+
+    /// J needs A and B, which share tool `tx`; the L → M → K chain is
+    /// independent of J; T needs J and K.
+    fn fan_in() -> Hercules {
+        let schema = schema::parse_schema(
+            "data a, b, j, l, m, k, t;
+             tool tx, tj, tl, tm, tk, tt;
+             activity A: a = tx();
+             activity B: b = tx();
+             activity J: j = tj(a, b);
+             activity L: l = tl();
+             activity M: m = tm(l);
+             activity K: k = tk(m);
+             activity T: t = tt(j, k);",
+        )
+        .unwrap();
+        Hercules::new(schema, ToolLibrary::standard(), Team::of_size(1), 1)
+    }
+
+    #[test]
+    fn doomed_activity_is_skipped_once_in_any_dispatch_order() {
+        // Every tool of A and B is broken, and the L → M → K chain
+        // follows J in dependency order. A blocks and dooms J and T;
+        // dispatching M reports J skipped; then B blocks too — J must
+        // not be doomed and reported a second time.
+        let mut h = fan_in();
+        let tree = h.extract_task_tree("t").unwrap();
+        assert_eq!(tree.activities(), ["A", "B", "L", "J", "M", "K", "T"]);
+        h.set_fault_plan(FaultPlan::breaking_tool("tx"));
+        let mut policy = InOrder(&["A", "L", "M", "K", "B"]);
+        let report = h.execute_with_policy("t", &mut policy, None).unwrap();
+        let names = |rows: Vec<&str>| rows.join(" ");
+        assert_eq!(
+            names(
+                report
+                    .activities()
+                    .iter()
+                    .map(|a| a.activity.as_str())
+                    .collect()
+            ),
+            "L M K"
+        );
+        assert_eq!(
+            names(
+                report
+                    .blocked()
+                    .iter()
+                    .map(|b| b.activity.as_str())
+                    .collect()
+            ),
+            "A B"
+        );
+        assert_eq!(report.skipped(), ["J", "T"]);
+    }
+
+    #[test]
+    fn supplied_input_outlives_its_blocked_producer() {
+        // A netlist supplied by hand lets Simulate run although
+        // Create's tool is broken: Simulate is executed, not skipped,
+        // exactly as the serial reference does it.
+        let setup = || {
+            let mut h = manager(42);
+            h.supply_primary_input("netlist", "designer0").unwrap();
+            h.set_fault_plan(FaultPlan::breaking_tool("netlist_editor"));
+            h
+        };
+        let (mut engine, mut serial) = (setup(), setup());
+        let report = engine.execute("performance").unwrap();
+        assert!(report.blocked_activity("Create").is_some());
+        assert!(report.activity("Simulate").is_some());
+        assert!(report.skipped().is_empty());
+        assert_eq!(
+            report,
+            serial.execute_serial_reference("performance").unwrap()
+        );
+        assert_eq!(engine.db().dump(), serial.db().dump());
+
+        // A supplied input published again by its producer does not
+        // count towards a consumer still waiting on another input: J
+        // is not admitted before B publishes, even under a policy that
+        // would run it first.
+        let mut h = fan_in();
+        h.supply_primary_input("a", "designer0").unwrap();
+        let mut policy = InOrder(&["A", "J", "B", "L", "M", "K", "T"]);
+        let report = h.execute_with_policy("t", &mut policy, None).unwrap();
+        let order: Vec<&str> = report
+            .activities()
+            .iter()
+            .map(|a| a.activity.as_str())
+            .collect();
+        assert_eq!(order, ["A", "B", "J", "L", "M", "K", "T"]);
     }
 
     #[test]

@@ -1,6 +1,4 @@
-use std::collections::HashMap;
-
-use schedule::{ScheduleNetwork, WorkDays};
+use schedule::WorkDays;
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
@@ -68,32 +66,25 @@ impl Hercules {
     /// ```
     pub fn forecast(&self, target: &str) -> Result<Forecast, HerculesError> {
         let tree = self.extract_task_tree(target)?;
-        let mut net = ScheduleNetwork::new();
-        let mut ids = HashMap::new();
-        let mut complete = 0usize;
-        let mut open = 0usize;
-        // Completed activities become zero-duration milestones pinned
-        // at their actual finish via a leading "anchor" duration.
-        for activity in tree.activities() {
-            let done = self
-                .db()
-                .current_plan(activity)
-                .is_some_and(|p| p.is_complete());
-            let duration = if done {
-                complete += 1;
-                WorkDays::ZERO
-            } else {
-                open += 1;
-                self.duration_estimate(activity)?
-            };
-            let id = net.add_activity(activity.clone(), duration)?;
-            ids.insert(activity.clone(), id);
-        }
-        for activity in tree.activities() {
-            for consumer in tree.consumers_of_output(activity) {
-                net.add_precedence(ids[activity.as_str()], ids[consumer])?;
-            }
-        }
+        let done = self.completed(&tree);
+        let complete = done.iter().filter(|&&d| d).count();
+        let open = tree.len() - complete;
+        // Completed activities become zero-duration milestones; the
+        // base offset below pins them at their actual finish.
+        let durations = tree
+            .activities()
+            .iter()
+            .zip(&done)
+            .map(|(a, &d)| {
+                if d {
+                    Ok(WorkDays::ZERO)
+                } else {
+                    self.duration_estimate(a)
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let scope: Vec<usize> = (0..tree.len()).collect();
+        let (net, _) = tree.precedence_network(&scope, &durations)?;
         let cpm = net.analyze()?;
         // Base offset: open work cannot start before now or before the
         // latest data already available in scope — the same seeding the

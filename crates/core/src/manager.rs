@@ -125,13 +125,6 @@ impl Hercules {
         self.fault_injector = faults.into();
     }
 
-    /// Builder-style variant of [`set_fault_plan`](Hercules::set_fault_plan).
-    #[must_use]
-    pub fn with_fault_plan(mut self, faults: impl Into<FaultInjector>) -> Self {
-        self.set_fault_plan(faults);
-        self
-    }
-
     /// The installed fault policy.
     pub fn fault_injector(&self) -> &FaultInjector {
         &self.fault_injector
@@ -151,14 +144,6 @@ impl Hercules {
         self.execution_policy = policy;
     }
 
-    /// Builder-style variant of
-    /// [`set_execution_policy`](Hercules::set_execution_policy).
-    #[must_use]
-    pub fn with_execution_policy(mut self, policy: ExecutionPolicy) -> Self {
-        self.set_execution_policy(policy);
-        self
-    }
-
     /// The configured execution policy.
     pub fn execution_policy(&self) -> ExecutionPolicy {
         self.execution_policy
@@ -173,13 +158,6 @@ impl Hercules {
     /// entity hand-off pays the cluster's seeded network delay.
     pub fn set_cluster(&mut self, cluster: impl Into<Option<Cluster>>) {
         self.cluster = cluster.into();
-    }
-
-    /// Builder-style variant of [`set_cluster`](Hercules::set_cluster).
-    #[must_use]
-    pub fn with_cluster(mut self, cluster: impl Into<Option<Cluster>>) -> Self {
-        self.set_cluster(cluster);
-        self
     }
 
     /// The configured simulated cluster, if any.
@@ -317,6 +295,16 @@ impl Hercules {
     /// [`HerculesError::UnknownTarget`] if `target` names nothing.
     pub fn extract_task_tree(&self, target: &str) -> Result<TaskTree, HerculesError> {
         TaskTree::extract(&self.schema, target)
+    }
+
+    /// Per position of `tree`: whether the activity's current plan is
+    /// complete, i.e. linked to its final result.
+    pub(crate) fn completed(&self, tree: &TaskTree) -> Vec<bool> {
+        let db = self.store.db();
+        tree.activities()
+            .iter()
+            .map(|a| db.current_plan(a).is_some_and(|p| p.is_complete()))
+            .collect()
     }
 
     /// The duration estimate planning uses for `activity`, in priority

@@ -118,12 +118,8 @@ impl Hercules {
         let mut baseline_trial = self.clone();
         let baseline = baseline_trial.plan(target)?.project_finish();
         let mut best: Option<CrashAdvice> = None;
-        for activity in tree.activities() {
-            if self
-                .db()
-                .current_plan(activity)
-                .is_some_and(|p| p.is_complete())
-            {
+        for (activity, done) in tree.activities().iter().zip(self.completed(&tree)) {
+            if done {
                 continue;
             }
             let mut trial = self.clone();

@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use metadata::{PlanningSessionId, ScheduleInstanceId};
 use schedule::{
     level_resources, ActivityId, IncrementalCpm, Resource, ResourcePool, ScheduleNetwork, WorkDays,
@@ -7,6 +5,7 @@ use schedule::{
 
 use crate::error::HerculesError;
 use crate::manager::Hercules;
+use crate::task::TaskTree;
 
 /// Cached planning state for one target: the precedence network built
 /// from the task tree plus the [`IncrementalCpm`] engine holding its
@@ -17,8 +16,10 @@ use crate::manager::Hercules;
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCache {
     network: ScheduleNetwork,
-    ids: HashMap<String, ActivityId>,
-    in_scope: Vec<String>,
+    /// Task-tree positions of the planned activities, ascending.
+    in_scope: Vec<usize>,
+    /// The network id of each `in_scope` entry.
+    ids: Vec<ActivityId>,
     inc: IncrementalCpm,
 }
 
@@ -163,12 +164,13 @@ impl Hercules {
     /// # }
     /// ```
     pub fn plan(&mut self, target: &str) -> Result<SchedulePlan, HerculesError> {
-        self.plan_scope(target, &[])
+        let tree = self.extract_task_tree(target)?;
+        self.plan_scope(&tree, &vec![false; tree.len()])
     }
 
     /// [`plan`](Hercules::plan) restricted to a sub-scope: activities
-    /// named in `skip` are left out of the network and get no new
-    /// schedule instance versions.
+    /// whose position in `tree` is marked in `skip` are left out of the
+    /// network and get no new schedule instance versions.
     ///
     /// This is what [`replan`](Hercules::replan) uses to honour the
     /// versioned-update contract — completed activities keep their
@@ -178,18 +180,19 @@ impl Hercules {
     /// the remaining scope is kept intact here.
     pub(crate) fn plan_scope(
         &mut self,
-        target: &str,
-        skip: &[String],
+        tree: &TaskTree,
+        skip: &[bool],
     ) -> Result<SchedulePlan, HerculesError> {
-        let tree = self.extract_task_tree(target)?;
+        let target = tree.target();
+        let names = tree.activities();
         obs::Collector::set_sim_days(self.clock.days());
-        let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skip.len(),);
-        let in_scope: Vec<String> = tree
-            .activities()
+        let skipped = skip.iter().filter(|&&s| s).count();
+        let mut plan_span = obs::span!("hercules.plan", target = target, skipped = skipped,);
+        let in_scope: Vec<usize> = (0..tree.len()).filter(|&i| !skip[i]).collect();
+        let estimates = in_scope
             .iter()
-            .filter(|a| !skip.contains(a))
-            .cloned()
-            .collect();
+            .map(|&i| self.duration_estimate(&names[i]))
+            .collect::<Result<Vec<_>, _>>()?;
         // Reuse the cached network + incremental CPM state when the
         // scope is unchanged; only activities whose estimate moved are
         // marked dirty and recomputed. Scope changes (first plan, or a
@@ -205,9 +208,7 @@ impl Hercules {
         let (net, ids, inc) = match cached {
             Some(mut c) => {
                 let mut dirty: Vec<ActivityId> = Vec::new();
-                for activity in &in_scope {
-                    let id = c.ids[activity.as_str()];
-                    let estimate = self.duration_estimate(activity)?;
+                for (&id, &estimate) in c.ids.iter().zip(&estimates) {
                     if (estimate.days() - c.network.duration(id).days()).abs() > 1e-12 {
                         c.network.set_duration(id, estimate)?;
                         dirty.push(id);
@@ -232,26 +233,11 @@ impl Hercules {
                 (c.network, c.ids, c.inc)
             }
             None => {
-                // Build the precedence network with estimated durations.
-                let mut net = ScheduleNetwork::new();
-                let mut ids = HashMap::new();
-                for activity in &in_scope {
-                    let duration = self.duration_estimate(activity)?;
-                    let id = net.add_activity(activity.clone(), duration)?;
-                    ids.insert(activity.clone(), id);
-                }
-                for activity in &in_scope {
-                    for consumer in tree.consumers_of_output(activity) {
-                        if let Some(&consumer_id) = ids.get(consumer) {
-                            net.add_precedence(ids[activity.as_str()], consumer_id)?;
-                        }
-                    }
-                }
+                let (mut net, ids) = tree.precedence_network(&in_scope, &estimates)?;
                 // One demand per activity for its round-robin designer
                 // (recorded once; reused on every cache hit).
-                for (k, activity) in in_scope.iter().enumerate() {
-                    let designer = self.team.assignee(k).to_owned();
-                    net.add_demand(ids[activity.as_str()], designer, 1)?;
+                for (k, &id) in ids.iter().enumerate() {
+                    net.add_demand(id, self.team.assignee(k), 1)?;
                 }
                 let inc = net.analyze_incremental()?;
                 obs::event!("plan.cache_miss", scope = in_scope.len());
@@ -260,15 +246,12 @@ impl Hercules {
                 (net, ids, inc)
             }
         };
-        // Assign designers round-robin in dependency order and level
-        // against the team: one designer works one activity at a time.
+        // Designers are assigned round-robin in dependency order (the
+        // demands above); level against the team: one designer works
+        // one activity at a time.
         let mut pool = ResourcePool::new();
         for designer in self.team.iter() {
             pool.add(Resource::new(designer, 1));
-        }
-        let mut assignees = HashMap::new();
-        for (k, activity) in in_scope.iter().enumerate() {
-            assignees.insert(activity.clone(), self.team.assignee(k).to_owned());
         }
         let cpm = inc.analysis(&net);
         let leveled = level_resources(&net, &pool)?;
@@ -279,14 +262,14 @@ impl Hercules {
         let offset = self.clock;
         let mut activities = Vec::with_capacity(in_scope.len());
         let mut project_finish = offset;
-        for activity in &in_scope {
-            let id = ids[activity.as_str()];
+        for (k, (&i, &id)) in in_scope.iter().zip(&ids).enumerate() {
+            let activity = &names[i];
             let start = offset + leveled.start(id);
             let duration = net.duration(id);
             let sc = self
                 .store
                 .plan_activity(session, activity, start, duration)?;
-            let assignee = assignees[activity].clone();
+            let assignee = self.team.assignee(k).to_owned();
             self.store.assign(sc, &assignee)?;
             let finish = start + duration;
             if finish.days() > project_finish.days() {
@@ -305,8 +288,8 @@ impl Hercules {
             target.to_owned(),
             PlanCache {
                 network: net,
-                ids,
                 in_scope,
+                ids,
                 inc,
             },
         );
@@ -547,16 +530,17 @@ mod tests {
         assert!(!arg_bool(&plan_span(&session.finish()), "cache_hit"));
         // Restricting the scope (as replan does after completions)
         // invalidates the cached network.
-        let skip = vec!["Create".to_owned()];
+        let tree = h.extract_task_tree("performance").unwrap();
+        let skip = [true, false]; // Create
         let session = obs::Collector::session();
-        let p = h.plan_scope("performance", &skip).unwrap();
+        let p = h.plan_scope(&tree, &skip).unwrap();
         let stats = plan_span(&session.finish());
         assert!(!arg_bool(&stats, "cache_hit"));
         assert_eq!(arg_u64(&stats, "cpm_total"), 1);
         assert_eq!(p.len(), 1);
         // And the narrower scope is itself cached.
         let session = obs::Collector::session();
-        h.plan_scope("performance", &skip).unwrap();
+        h.plan_scope(&tree, &skip).unwrap();
         assert!(arg_bool(&plan_span(&session.finish()), "cache_hit"));
     }
 

@@ -1,3 +1,5 @@
+use std::collections::HashSet;
+
 use metadata::ScheduleInstanceId;
 use schedule::WorkDays;
 
@@ -55,19 +57,10 @@ impl Hercules {
         obs::Collector::set_sim_days(self.clock.days());
         let mut replan_span = obs::span!("hercules.replan", target = target);
         let tree = self.extract_task_tree(target)?;
-        let completed: Vec<String> = tree
-            .activities()
-            .iter()
-            .filter(|a| {
-                self.store
-                    .db()
-                    .current_plan(a)
-                    .is_some_and(|p| p.is_complete())
-            })
-            .cloned()
-            .collect();
-        replan_span.record("completed", completed.len());
-        if completed.len() == tree.len() {
+        let completed = self.completed(&tree);
+        let complete = completed.iter().filter(|&&c| c).count();
+        replan_span.record("completed", complete);
+        if complete == tree.len() {
             replan_span.record("replanned", 0usize);
             return Ok(ReplanOutcome {
                 replanned: Vec::new(),
@@ -78,12 +71,15 @@ impl Hercules {
         // Planning starts no earlier than the actual finishes of
         // completed prerequisites, which `plan_scope` handles via the
         // clock: advance it to the latest completion in scope first.
-        let latest_done = completed
+        let latest_done = tree
+            .activities()
             .iter()
-            .filter_map(|a| self.store.db().actual_finish(a))
+            .zip(&completed)
+            .filter(|&(_, &c)| c)
+            .filter_map(|(a, _)| self.store.db().actual_finish(a))
             .fold(self.clock, WorkDays::max);
         self.advance_clock(latest_done);
-        let plan: SchedulePlan = self.plan_scope(target, &completed)?;
+        let plan: SchedulePlan = self.plan_scope(&tree, &completed)?;
         let replanned: Vec<(String, ScheduleInstanceId)> = plan
             .activities()
             .iter()
@@ -116,9 +112,10 @@ impl Hercules {
     pub fn propagate_slip(&mut self, activity: &str) -> Result<ReplanOutcome, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut slip_span = obs::span!("hercules.propagate_slip", activity = activity);
-        if self.schema.rule(activity).is_none() {
+        let Some(rule) = self.schema.rule(activity) else {
             return Err(HerculesError::UnknownActivity(activity.to_owned()));
-        }
+        };
+        let output = rule.output();
         let Some(slip) = self.store.db().finish_slip(activity) else {
             // Either not planned or not complete yet.
             if self.store.db().current_plan(activity).is_none() {
@@ -138,19 +135,15 @@ impl Hercules {
             });
         }
         // Downstream cone: activities consuming this activity's output,
-        // transitively. Walk the schema rules.
+        // transitively, in discovery order.
         let mut affected: Vec<String> = Vec::new();
-        let mut frontier = vec![activity.to_owned()];
-        while let Some(current) = frontier.pop() {
-            let Some(rule) = self.schema.rule(&current) else {
-                return Err(HerculesError::UnknownActivity(current));
-            };
-            let output = rule.output().to_owned();
-            for rule in self.schema.rules() {
-                if rule.inputs().contains(&output) && !affected.iter().any(|a| a == rule.activity())
-                {
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut frontier = vec![output];
+        while let Some(class) = frontier.pop() {
+            for rule in self.schema.consumers_of(class) {
+                if seen.insert(rule.activity()) {
                     affected.push(rule.activity().to_owned());
-                    frontier.push(rule.activity().to_owned());
+                    frontier.push(rule.output());
                 }
             }
         }

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 
+use schedule::{ActivityId, ScheduleError, ScheduleNetwork, WorkDays};
 use schema::{SchemaGraph, TaskSchema};
 
 use crate::error::HerculesError;
@@ -175,6 +176,35 @@ impl TaskTree {
     /// activity at position `i`, ascending.
     pub fn consumers_at(&self, i: usize) -> &[usize] {
         &self.consumers[i]
+    }
+
+    /// The precedence network over the activities at positions `scope`
+    /// (ascending), `scope[k]` lasting `durations[k]`; returns it with
+    /// the id of each scope entry. Activities are added in scope order
+    /// and edges producer by producer, consumers ascending, so the
+    /// network's tie-breaks are the same for planning, forecasting and
+    /// the engine's dispatch metrics.
+    pub(crate) fn precedence_network(
+        &self,
+        scope: &[usize],
+        durations: &[WorkDays],
+    ) -> Result<(ScheduleNetwork, Vec<ActivityId>), ScheduleError> {
+        let mut net = ScheduleNetwork::new();
+        let mut id_at = vec![None; self.len()];
+        let mut ids = Vec::with_capacity(scope.len());
+        for (&i, &duration) in scope.iter().zip(durations) {
+            let id = net.add_activity(self.activities[i].clone(), duration)?;
+            id_at[i] = Some(id);
+            ids.push(id);
+        }
+        for (&i, &from) in scope.iter().zip(&ids) {
+            for &j in &self.consumers[i] {
+                if let Some(to) = id_at[j] {
+                    net.add_precedence(from, to)?;
+                }
+            }
+        }
+        Ok((net, ids))
     }
 }
 

@@ -9,8 +9,8 @@
 //!
 //! * [`Dag`] — a stable-keyed directed graph with acyclicity enforced at
 //!   edge-insertion time, so flow models are DAGs *by construction*.
-//! * Traversals — Kahn topological order, the post-order walk Hercules
-//!   uses for both schedule planning and task execution, DFS and BFS.
+//! * Traversals — Kahn topological order and the post-order walk
+//!   Hercules uses for both schedule planning and task execution.
 //! * Analyses — input/output cones (the "scope of the intended task"),
 //!   longest paths (the backbone of critical-path scheduling), level
 //!   assignment, transitive reduction, and graph statistics.
@@ -49,4 +49,3 @@ pub mod builder;
 pub use analysis::{GraphStats, LongestPath};
 pub use dag::{Dag, EdgeId, EdgeRef, NodeId, NodeRef};
 pub use error::GraphError;
-pub use traversal::{Bfs, Dfs, PostOrder, ReverseBfs};

@@ -358,52 +358,9 @@ impl ScheduleNetwork {
         self.dag.successors(id.0).map(ActivityId)
     }
 
-    /// Activities with no predecessors.
-    pub fn start_activities(&self) -> Vec<ActivityId> {
-        self.dag.sources().into_iter().map(ActivityId).collect()
-    }
-
     /// Activities with no successors.
     pub fn finish_activities(&self) -> Vec<ActivityId> {
         self.dag.sinks().into_iter().map(ActivityId).collect()
-    }
-
-    /// All activities downstream of `id` (including `id`) — the set a
-    /// slip in `id` can affect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an activity of this network.
-    pub fn downstream(&self, id: ActivityId) -> Vec<ActivityId> {
-        let mut ids: Vec<ActivityId> = self
-            .dag
-            .output_cone(&[id.0])
-            .into_iter()
-            .map(ActivityId)
-            .collect();
-        ids.sort();
-        ids
-    }
-
-    /// All activities upstream of `id` (including `id`) — the backward
-    /// cone whose late dates and slack a change in `id` can affect.
-    ///
-    /// Mirror of [`downstream`](ScheduleNetwork::downstream), streamed
-    /// through [`flowgraph`]'s reverse-reachability iterator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an activity of this network.
-    pub fn upstream(&self, id: ActivityId) -> Vec<ActivityId> {
-        let mut ids: Vec<ActivityId> = self
-            .dag
-            .reverse_bfs(&[id.0])
-            .collect_in(&self.dag)
-            .into_iter()
-            .map(ActivityId)
-            .collect();
-        ids.sort();
-        ids
     }
 
     /// Activities in precedence order (every predecessor before its
@@ -576,7 +533,6 @@ mod tests {
         assert_eq!(net.precedence_count(), 1);
         assert_eq!(net.activity("B"), Some(b));
         assert_eq!(net.name(a), "A");
-        assert_eq!(net.start_activities(), vec![a]);
         assert_eq!(net.finish_activities(), vec![b]);
     }
 
@@ -610,35 +566,6 @@ mod tests {
             net.add_precedence(b, a),
             Err(ScheduleError::PrecedenceCycle { .. })
         ));
-    }
-
-    #[test]
-    fn downstream_cone() {
-        let mut net = ScheduleNetwork::new();
-        let a = net.add_activity("A", WorkDays::ZERO).unwrap();
-        let b = net.add_activity("B", WorkDays::ZERO).unwrap();
-        let c = net.add_activity("C", WorkDays::ZERO).unwrap();
-        let d = net.add_activity("D", WorkDays::ZERO).unwrap();
-        net.add_precedence(a, b).unwrap();
-        net.add_precedence(b, c).unwrap();
-        net.add_precedence(a, d).unwrap();
-        assert_eq!(net.downstream(b), vec![b, c]);
-        assert_eq!(net.downstream(a).len(), 4);
-    }
-
-    #[test]
-    fn upstream_cone_mirrors_downstream() {
-        let mut net = ScheduleNetwork::new();
-        let a = net.add_activity("A", WorkDays::ZERO).unwrap();
-        let b = net.add_activity("B", WorkDays::ZERO).unwrap();
-        let c = net.add_activity("C", WorkDays::ZERO).unwrap();
-        let d = net.add_activity("D", WorkDays::ZERO).unwrap();
-        net.add_precedence(a, b).unwrap();
-        net.add_precedence(b, c).unwrap();
-        net.add_precedence(a, d).unwrap();
-        assert_eq!(net.upstream(c), vec![a, b, c]);
-        assert_eq!(net.upstream(a), vec![a]);
-        assert_eq!(net.upstream(d), vec![a, d]);
     }
 
     #[test]

@@ -612,17 +612,18 @@ fn workspace_error(e: WorkspaceError) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// Rendering: shared with the differential suite. These are the *only*
-// places response bodies are produced from kernel results.
+// Rendering: shared with the differential suite and the `herc ws`
+// CLI. These are the *only* places response bodies are produced from
+// kernel results.
 // ---------------------------------------------------------------------
 
-/// The status body: byte-identical to `herc ws status` output.
+/// The status body, which `herc ws status` also prints.
 pub fn status_body(h: &Hercules) -> String {
     let status = h.status();
     format!("{status}variance: {}\n", status.variance())
 }
 
-/// The plan body: byte-identical to `herc ws plan` output.
+/// The plan body, which `herc ws plan` also prints.
 pub fn plan_body(project: &str, target: &str, plan: &SchedulePlan) -> String {
     use std::fmt::Write as _;
     let mut out = format!("proposed schedule for {target:?} in project {project:?}:\n");
@@ -657,8 +658,8 @@ pub fn replan_body(target: &str, outcome: &ReplanOutcome) -> String {
     out
 }
 
-/// The run body: the `herc ws run` summary line plus the post-run
-/// status report.
+/// The run body, which `herc ws run` also prints: a summary line plus
+/// the post-run status body.
 pub fn run_body(project: &str, report: &ExecutionReport, h: &Hercules) -> String {
     format!(
         "project {project:?}: executed {} activities in {} runs, finished day {}\n\n{}",

@@ -20,8 +20,6 @@
 //! * [`cluster`] — simulated heterogeneous clusters (worker speed
 //!   factors, seeded transfer delay) that policy-driven executors
 //!   dispatch onto.
-//! * [`des`] — a minimal discrete-event core (clock + time-ordered
-//!   event queue) the execution engines are built on.
 //! * [`rng`] — the SplitMix64 generator used for all deterministic
 //!   pseudo-randomness.
 //!
@@ -54,7 +52,6 @@ mod library;
 mod model;
 
 pub mod cluster;
-pub mod des;
 pub mod rng;
 pub mod vfs;
 pub mod workload;

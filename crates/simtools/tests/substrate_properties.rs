@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation substrate: tool models must
-//! be total, deterministic, and convergent; the event queue must be a
-//! stable priority queue.
+//! be total, deterministic, and convergent.
 //!
 //! Ported to the in-repo `harness` framework (note the dev-dependency
 //! cycle: `harness` depends on `simtools::rng`, and these tests
@@ -8,7 +7,6 @@
 //! dev-dependencies).
 
 use harness::prelude::*;
-use simtools::des::EventQueue;
 use simtools::{ToolInvocation, ToolModel};
 
 fn arb_model() -> impl Strategy<Value = ToolModel> {
@@ -69,39 +67,5 @@ harness::props! {
         // Iterations only add time.
         prop_assert!(model.expected_activity_duration(small)
             >= model.nominal_duration(small) - 1e-9);
-    }
-
-    fn event_queue_pops_sorted_stable(times in vec(0u32..1000, 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(f64::from(t), i);
-        }
-        let mut last: Option<(f64, usize)> = None;
-        while let Some((t, seq)) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    // Stable: same-time events pop in insertion order.
-                    prop_assert!(seq > lseq);
-                }
-            }
-            last = Some((t, seq));
-        }
-        prop_assert!(q.is_empty());
-    }
-
-    fn event_queue_clock_tracks_pops(delays in vec(0u32..100, 1..50)) {
-        let mut q = EventQueue::new();
-        for &d in &delays {
-            q.schedule_in(f64::from(d), ());
-        }
-        // now() only advances on pop, to the popped event's time.
-        let mut sorted: Vec<f64> = delays.iter().map(|&d| f64::from(d)).collect();
-        sorted.sort_by(f64::total_cmp);
-        for want in sorted {
-            let (t, ()) = q.pop().expect("scheduled");
-            prop_assert_eq!(t, want);
-            prop_assert_eq!(q.now(), want);
-        }
     }
 }

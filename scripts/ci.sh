@@ -33,7 +33,8 @@
 #           invariance) plus a quick 10^5-activity B14 artifact
 #   exec    policy-engine gate: the cross-policy property suite
 #           (outcome-set invariance, replay ≡ live for every policy,
-#           uniform-cluster equivalence), a per-policy chaos leg
+#           uniform-cluster equivalence, Fifo on the implicit cluster
+#           ≡ the serial reference executor), a per-policy chaos leg
 #           pinning each policy over the shared seed set, and the B17
 #           acceptance tests (schedule-aware policies beat Fifo's
 #           simulated makespan; Fifo on one worker stays within 1.05x
@@ -262,8 +263,12 @@ stage_scale() {
 stage_exec() {
     # Policy-engine gate. The property suite sweeps seeded scenarios
     # across every built-in policy: identical outcome sets, journal
-    # replay ≡ live under explicit clusters, and uniform-cluster ≡
-    # implicit equivalence. The chaos legs then pin each policy over
+    # replay ≡ live under explicit clusters, uniform-cluster ≡
+    # implicit equivalence, and the differential property
+    # fifo_on_implicit_matches_serial_reference (report, store, clock
+    # and blocked set equal to execute_serial_reference's over the
+    # circuit, ASIC, pipeline and layered families with persistent
+    # faults). The chaos legs then pin each policy over
     # the same fixed seed set the chaos stage sweeps, exercising the
     # PR-3 invariants per policy through the user-facing CLI.
     cargo test -q --offline --release -p dac95-schedflow \

@@ -686,18 +686,7 @@ fn cmd_ws(args: &[String]) -> Result<(), String> {
             let plan = project
                 .update(|h| h.plan(target))
                 .map_err(|e| e.to_string())?;
-            println!("proposed schedule for {target:?} in project {name:?}:");
-            for pa in plan.activities() {
-                println!(
-                    "  {:<16} [{} .. {}] {} {}",
-                    pa.activity,
-                    pa.start,
-                    pa.start + pa.duration,
-                    if pa.critical { "*" } else { " " },
-                    pa.assignee
-                );
-            }
-            println!("proposed finish: day {}", plan.project_finish());
+            print!("{}", serve::plan_body(name, target, &plan));
             Ok(())
         }
         "run" => {
@@ -712,23 +701,13 @@ fn cmd_ws(args: &[String]) -> Result<(), String> {
                     h.execute(target)
                 })
                 .map_err(|e| e.to_string())?;
-            println!(
-                "project {name:?}: executed {} activities in {} runs, finished day {}",
-                report.activities().len(),
-                report.total_runs(),
-                report.finished_at()
-            );
-            project.read(|h| println!("\n{}", h.status()));
+            project.read(|h| print!("{}", serve::run_body(name, &report, h)));
             Ok(())
         }
         "status" => {
             let opts = parse_options(&args[4..])?;
             let project = ws_project(&ws, name, file, &opts, false)?;
-            project.read(|h| {
-                let status = h.status();
-                print!("{status}");
-                println!("variance: {}", status.variance());
-            });
+            project.read(|h| print!("{}", serve::status_body(h)));
             Ok(())
         }
         other => Err(format!("ws: unknown subcommand {other:?}")),

@@ -3,6 +3,8 @@
 //! complete, journal replay ≡ live) and — on uniform-speed substrates,
 //! where fault outcomes are per-activity and speed-independent — all
 //! policies execute, block, and skip exactly the same activity set.
+//! Fifo on the implicit cluster reproduces the serial reference
+//! executor exactly, over the same scenario families.
 
 use std::collections::BTreeSet;
 
@@ -131,6 +133,26 @@ harness::props! {
                 "{policy} replay diverges from live"
             );
         }
+    }
+
+    /// Fifo on the implicit cluster is the serial reference executor
+    /// over every schema family: same report, same store, same clock,
+    /// same blocked set, persistent faults and skip-downstream
+    /// included.
+    fn fifo_on_implicit_matches_serial_reference(seed in 0u64..1_000_000) {
+        let scenario = Scenario::from_seed(seed);
+        let mut engine = scenario.manager(false);
+        let mut serial = scenario.manager(false);
+        let report = engine
+            .execute_with(&scenario.target, ExecutionPolicy::Fifo, None)
+            .expect("fifo never aborts on injected faults");
+        let reference = serial
+            .execute_serial_reference(&scenario.target)
+            .expect("the reference never aborts on injected faults");
+        prop_assert!(report == reference, "report diverges from the serial reference");
+        prop_assert!(engine.db().dump() == serial.db().dump(), "store diverges");
+        prop_assert_eq!(engine.clock(), serial.clock());
+        prop_assert_eq!(engine.blocked_activities(), serial.blocked_activities());
     }
 
     /// Explicit uniform clusters preserve the outcome set (speed is
