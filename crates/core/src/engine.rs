@@ -80,7 +80,7 @@ impl Hercules {
     ) -> Result<ExecutionReport, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut exec_span = obs::span!("hercules.execute", target = target);
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.memo_task_tree(target)?;
         // Supply primary inputs up front.
         for class in tree.primary_inputs() {
             let designer = self.team.designer(0).to_owned();

@@ -65,7 +65,7 @@ impl Hercules {
     /// # }
     /// ```
     pub fn forecast(&self, target: &str) -> Result<Forecast, HerculesError> {
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.task_tree(target)?;
         let done = self.completed(&tree);
         let complete = done.iter().filter(|&&d| d).count();
         let open = tree.len() - complete;
@@ -87,14 +87,29 @@ impl Hercules {
         let (net, _) = tree.precedence_network(&scope, &durations)?;
         let cpm = net.analyze()?;
         // Base offset: open work cannot start before now or before the
-        // latest data already available in scope — the same seeding the
-        // executor's ready queue starts from (supplied inputs are
-        // always at or before the clock, so only completed actuals can
-        // push the base forward).
-        let base = self
-            .seed_data_ready(&tree)
-            .values()
-            .map(|&(at, _)| at)
+        // latest data already available in scope — the data the
+        // executor's ready queue is seeded with: supplied inputs, each
+        // unless a completed activity of the tree produced its class,
+        // and the completed activities' linked instances.
+        let db = self.store.db();
+        let linked_at = |activity: &str| {
+            let inst = db.current_plan(activity)?.linked_entity()?;
+            Some(db.entity_instance(inst).created_at())
+        };
+        let supplied = self
+            .supplied
+            .iter()
+            .filter(|(class, _)| {
+                !self.schema.producer_of(class).is_some_and(|rule| {
+                    tree.contains(rule.activity()) && linked_at(rule.activity()).is_some()
+                })
+            })
+            .map(|(_, &inst)| db.entity_instance(inst).created_at());
+        let base = tree
+            .activities()
+            .iter()
+            .filter_map(|a| linked_at(a))
+            .chain(supplied)
             .fold(self.clock, WorkDays::max);
         let finish = base + cpm.project_duration();
         let critical = cpm
@@ -186,5 +201,33 @@ mod tests {
     fn unknown_target_rejected() {
         let h = asic(5);
         assert!(h.forecast("gds").is_err());
+    }
+
+    #[test]
+    fn completed_output_shadows_a_later_supplied_instance() {
+        let mut h = Hercules::new(
+            examples::circuit_design(),
+            ToolLibrary::standard(),
+            Team::of_size(1),
+            5,
+        );
+        h.plan("netlist").unwrap();
+        h.execute("netlist").unwrap();
+        let done = h.clock();
+        // A hand-supplied netlist, later than the produced one; reopening
+        // recomputes the clock from runs and plans, so it falls back
+        // before the supplied instance.
+        h.advance_clock(done + WorkDays::new(50.0));
+        h.supply_primary_input("netlist", "alice").unwrap();
+        let dump = h.db().dump();
+        h.restore_db(metadata::MetadataDb::load(&dump).unwrap())
+            .unwrap();
+        let reopened = h.clock();
+        assert!((reopened.days() - done.days()).abs() < 1e-3);
+        // The executor would read the produced netlist, so the forecast
+        // is anchored at its completion, not at the supplied copy.
+        let f = h.forecast("netlist").unwrap();
+        assert_eq!(f.open, 0);
+        assert_eq!(f.finish, reopened);
     }
 }

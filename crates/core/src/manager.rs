@@ -1,4 +1,5 @@
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use metadata::{ArenaStore, CompactionStats, EntityInstanceId, Journal, MetadataDb, Store};
 use schedule::WorkDays;
@@ -38,7 +39,13 @@ use crate::task::TaskTree;
 ///    [`Hercules::replan`](crate::Hercules::replan) — track and adapt.
 #[derive(Debug, Clone)]
 pub struct Hercules {
+    /// Fixed for the manager's lifetime: nothing assigns it after
+    /// construction, which is what lets `trees` skip invalidation.
     pub(crate) schema: TaskSchema,
+    /// Task trees extracted so far, per target. A tree is a pure
+    /// function of (`schema`, target), so an entry never goes stale;
+    /// the map holds at most one entry per class and activity name.
+    pub(crate) trees: HashMap<String, Arc<TaskTree>>,
     pub(crate) store: Box<dyn Store>,
     pub(crate) tools: ToolLibrary,
     pub(crate) team: Team,
@@ -98,6 +105,7 @@ impl Hercules {
     ) -> Self {
         let mut h = Hercules {
             schema,
+            trees: HashMap::new(),
             store,
             tools,
             team,
@@ -294,7 +302,31 @@ impl Hercules {
     ///
     /// [`HerculesError::UnknownTarget`] if `target` names nothing.
     pub fn extract_task_tree(&self, target: &str) -> Result<TaskTree, HerculesError> {
-        TaskTree::extract(&self.schema, target)
+        match self.trees.get(target) {
+            Some(tree) => Ok(TaskTree::clone(tree)),
+            None => TaskTree::extract(&self.schema, target),
+        }
+    }
+
+    /// The task tree for `target`: the memoized one if an earlier
+    /// planning or execution pass extracted it, else a fresh
+    /// extraction that is not kept.
+    pub(crate) fn task_tree(&self, target: &str) -> Result<Arc<TaskTree>, HerculesError> {
+        match self.trees.get(target) {
+            Some(tree) => Ok(Arc::clone(tree)),
+            None => TaskTree::extract(&self.schema, target).map(Arc::new),
+        }
+    }
+
+    /// The task tree for `target`, extracted on first use and memoized
+    /// for every later pass.
+    pub(crate) fn memo_task_tree(&mut self, target: &str) -> Result<Arc<TaskTree>, HerculesError> {
+        if let Some(tree) = self.trees.get(target) {
+            return Ok(Arc::clone(tree));
+        }
+        let tree = Arc::new(TaskTree::extract(&self.schema, target)?);
+        self.trees.insert(target.to_owned(), Arc::clone(&tree));
+        Ok(tree)
     }
 
     /// Per position of `tree`: whether the activity's current plan is
@@ -569,6 +601,26 @@ mod tests {
         assert_eq!(h.db().entity_container("stimuli").unwrap().len(), 1);
         assert_eq!(h.db().entity_instance(fresh).creator(), "alice");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn planning_and_execution_memoize_task_trees() {
+        let mut h = manager();
+        // Read-only paths extract cold and keep nothing.
+        h.forecast("performance").unwrap();
+        h.extract_task_tree("performance").unwrap();
+        assert!(h.trees.is_empty());
+        h.plan("performance").unwrap();
+        let memo = Arc::clone(&h.trees["performance"]);
+        h.execute("performance").unwrap();
+        h.replan("performance").unwrap();
+        h.execute_serial_reference("netlist").unwrap();
+        assert!(Arc::ptr_eq(&memo, &h.trees["performance"]));
+        assert_eq!(h.trees.len(), 2);
+        assert_eq!(*memo, TaskTree::extract(h.schema(), "performance").unwrap());
+        // Unknown targets are rejected and not memoized.
+        assert!(h.plan("ghost").is_err());
+        assert_eq!(h.trees.len(), 2);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Hercules {
             fraction > 0.0 && fraction < 1.0,
             "crash fraction must be in (0, 1)"
         );
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.task_tree(target)?;
         let mut baseline_trial = self.clone();
         let baseline = baseline_trial.plan(target)?.project_finish();
         let mut best: Option<CrashAdvice> = None;

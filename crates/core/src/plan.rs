@@ -164,7 +164,7 @@ impl Hercules {
     /// # }
     /// ```
     pub fn plan(&mut self, target: &str) -> Result<SchedulePlan, HerculesError> {
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.memo_task_tree(target)?;
         self.plan_scope(&tree, &vec![false; tree.len()])
     }
 

@@ -56,7 +56,7 @@ impl Hercules {
     pub fn replan(&mut self, target: &str) -> Result<ReplanOutcome, HerculesError> {
         obs::Collector::set_sim_days(self.clock.days());
         let mut replan_span = obs::span!("hercules.replan", target = target);
-        let tree = self.extract_task_tree(target)?;
+        let tree = self.memo_task_tree(target)?;
         let completed = self.completed(&tree);
         let complete = completed.iter().filter(|&&c| c).count();
         replan_span.record("completed", complete);

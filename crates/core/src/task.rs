@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 
 use schedule::{ActivityId, ScheduleError, ScheduleNetwork, WorkDays};
-use schema::{SchemaGraph, TaskSchema};
+use schema::TaskSchema;
 
 use crate::error::HerculesError;
 
@@ -40,19 +40,18 @@ impl TaskTree {
     ///
     /// [`HerculesError::UnknownTarget`] if `target` names nothing.
     pub fn extract(schema: &TaskSchema, target: &str) -> Result<Self, HerculesError> {
-        let graph = SchemaGraph::for_schema(schema);
-        let activities = graph.activities_for_target(target);
-        if activities.is_empty() {
+        let cone = schema.input_cone(target);
+        if cone.is_empty() {
             return Err(HerculesError::UnknownTarget(target.to_owned()));
         }
-        let n = activities.len();
+        let n = cone.len();
+        let mut activities = Vec::with_capacity(n);
         let mut inputs = Vec::with_capacity(n);
         let mut outputs = Vec::with_capacity(n);
         let mut primary = Vec::new();
-        for activity in &activities {
-            let rule = schema
-                .rule(activity)
-                .expect("activities come from the schema");
+        for &r in &cone {
+            let rule = &schema.rules()[r];
+            activities.push(rule.activity().to_owned());
             inputs.push(rule.inputs().to_vec());
             outputs.push(rule.output().to_owned());
             for input in rule.inputs() {

@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use schedule::WorkDays;
@@ -39,6 +39,11 @@ pub struct MetadataDb {
     pub(crate) entities: Vec<EntityInstance>,
     pub(crate) schedules: Vec<ScheduleInstance>,
     pub(crate) runs: Vec<Run>,
+    /// Per activity: indices into `runs`, oldest first. Derived state,
+    /// filled only by [`begin_run`](MetadataDb::begin_run) (which the
+    /// dump loader and journal replay go through), never dumped or
+    /// journaled.
+    pub(crate) runs_by_activity: HashMap<String, Vec<usize>>,
     pub(crate) sessions: Vec<PlanningSession>,
     pub(crate) data: Vec<DataObject>,
     /// Write-ahead journal (`None` when journaling is disabled).
@@ -211,12 +216,12 @@ impl MetadataDb {
             started_md: to_millidays(started_at),
         });
         self.crash_point()?;
-        let iteration = self
-            .runs
-            .iter()
-            .filter(|r| r.activity() == activity)
-            .count() as u32
-            + 1;
+        let of_activity = self
+            .runs_by_activity
+            .entry(activity.to_owned())
+            .or_default();
+        let iteration = of_activity.len() as u32 + 1;
+        of_activity.push(self.runs.len());
         let id = RunId::new(self.runs.len() as u32, self.generation);
         self.runs.push(Run::new(
             id,
@@ -462,10 +467,20 @@ impl MetadataDb {
 
     /// Runs of one activity, oldest first.
     pub fn runs_of(&self, activity: &str) -> Vec<&Run> {
-        self.runs
+        self.activity_runs(activity).collect()
+    }
+
+    /// Runs of one activity, oldest first, through the per-activity
+    /// index.
+    pub(crate) fn activity_runs(
+        &self,
+        activity: &str,
+    ) -> impl DoubleEndedIterator<Item = &Run> + '_ {
+        self.runs_by_activity
+            .get(activity)
+            .map_or(&[][..], Vec::as_slice)
             .iter()
-            .filter(|r| r.activity() == activity)
-            .collect()
+            .map(|&i| &self.runs[i])
     }
 
     /// Number of entity instances across all containers.
@@ -658,9 +673,7 @@ impl MetadataDb {
     /// data instance for the particular task is created, the actual
     /// start date for the task is set" (§IV-C).
     pub fn actual_start(&self, activity: &str) -> Option<WorkDays> {
-        self.runs
-            .iter()
-            .filter(|r| r.activity() == activity)
+        self.activity_runs(activity)
             .map(Run::started_at)
             .min_by(|a, b| a.days().total_cmp(&b.days()))
     }

@@ -31,8 +31,7 @@ impl MetadataDb {
         {
             return Some(finish.saturating_sub(start));
         }
-        self.runs_of(activity)
-            .iter()
+        self.activity_runs(activity)
             .rev()
             .find_map(|r| r.duration())
     }
@@ -40,8 +39,7 @@ impl MetadataDb {
     /// All measured run durations of `activity`, oldest first — the
     /// history a prediction model consumes.
     pub fn duration_history(&self, activity: &str) -> Vec<WorkDays> {
-        self.runs_of(activity)
-            .iter()
+        self.activity_runs(activity)
             .filter_map(|r| r.duration())
             .collect()
     }

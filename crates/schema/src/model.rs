@@ -131,6 +131,10 @@ impl fmt::Display for ConstructionRule {
 /// * every rule references declared classes with the right kinds;
 /// * every data class is produced by at most one rule;
 /// * the rules' data-dependency relation is acyclic.
+///
+/// The producer, consumer and rank indexes are derived from `classes`
+/// and `rules` once, at build time, so every structural query is a
+/// lookup and the derived `Clone`/`PartialEq` stay exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSchema {
     name: String,
@@ -138,6 +142,13 @@ pub struct TaskSchema {
     rules: Vec<ConstructionRule>,
     class_index: HashMap<String, usize>,
     rule_index: HashMap<String, usize>,
+    /// Data class -> index of the rule producing it.
+    producer_index: HashMap<String, usize>,
+    /// Data class -> indices of the rules consuming it, ascending.
+    consumer_index: HashMap<String, Vec<usize>>,
+    /// Per rule: its position in
+    /// [`SchemaGraph::activity_order`](crate::SchemaGraph::activity_order).
+    rank: Vec<usize>,
 }
 
 impl TaskSchema {
@@ -170,15 +181,66 @@ impl TaskSchema {
     /// producer are *primary inputs* the designer supplies directly
     /// (like `stimuli` in the paper's example).
     pub fn producer_of(&self, data_class: &str) -> Option<&ConstructionRule> {
-        self.rules.iter().find(|r| r.output() == data_class)
+        self.producer_index.get(data_class).map(|&i| &self.rules[i])
     }
 
-    /// The rules that consume `data_class`.
+    /// The rules that consume `data_class`, in declaration order.
     pub fn consumers_of(&self, data_class: &str) -> Vec<&ConstructionRule> {
-        self.rules
-            .iter()
-            .filter(|r| r.inputs().iter().any(|i| i == data_class))
-            .collect()
+        self.consumer_index
+            .get(data_class)
+            .map_or_else(Vec::new, |rs| rs.iter().map(|&i| &self.rules[i]).collect())
+    }
+
+    /// Indices into [`rules`](TaskSchema::rules) of the activities in
+    /// the input cone of `target` — a data class (its producer and
+    /// everything upstream) or an activity name (that activity and
+    /// everything upstream) — in dependency order: the scope a task
+    /// tree for `target` covers. A data class takes precedence over an
+    /// activity of the same name; a target naming neither, a tool, or
+    /// a designer-supplied class yields an empty cone.
+    ///
+    /// The order is [`SchemaGraph::activity_order`](crate::SchemaGraph::activity_order)
+    /// restricted to the cone.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use schema::examples;
+    ///
+    /// let schema = examples::circuit_design();
+    /// let cone: Vec<&str> = schema
+    ///     .input_cone("performance")
+    ///     .into_iter()
+    ///     .map(|i| schema.rules()[i].activity())
+    ///     .collect();
+    /// assert_eq!(cone, ["Create", "Simulate"]);
+    /// assert!(schema.input_cone("stimuli").is_empty());
+    /// ```
+    pub fn input_cone(&self, target: &str) -> Vec<usize> {
+        let root = match self.class(target) {
+            Some(class) if class.kind() == EntityKind::Data => self.producer_index.get(target),
+            _ => self.rule_index.get(target),
+        };
+        let Some(&root) = root else {
+            return Vec::new();
+        };
+        let mut seen = vec![false; self.rules.len()];
+        seen[root] = true;
+        let mut cone = Vec::new();
+        let mut stack = vec![root];
+        while let Some(r) = stack.pop() {
+            cone.push(r);
+            for input in self.rules[r].inputs() {
+                if let Some(&p) = self.producer_index.get(input) {
+                    if !seen[p] {
+                        seen[p] = true;
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        cone.sort_unstable_by_key(|&r| self.rank[r]);
+        cone
     }
 
     /// Data classes never produced by any rule — the designer-supplied
@@ -327,7 +389,8 @@ impl TaskSchemaBuilder {
             }
         }
         let mut rule_index = HashMap::new();
-        let mut producers: HashMap<&str, &str> = HashMap::new();
+        let mut producer_index = HashMap::new();
+        let mut consumer_index: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, rule) in self.rules.iter().enumerate() {
             if rule_index.insert(rule.activity().to_owned(), i).is_some() {
                 return Err(SchemaError::DuplicateActivity(rule.activity().to_owned()));
@@ -365,16 +428,16 @@ impl TaskSchemaBuilder {
                         activity: rule.activity().to_owned(),
                     });
                 }
+                consumer_index.entry(input.clone()).or_default().push(i);
             }
-            if let Some(first) = producers.insert(rule.output(), rule.activity()) {
-                let _ = first;
+            if producer_index.insert(rule.output().to_owned(), i).is_some() {
                 return Err(SchemaError::DuplicateProducer {
                     class: rule.output().to_owned(),
                     activity: rule.activity().to_owned(),
                 });
             }
         }
-        let schema = TaskSchema {
+        let mut schema = TaskSchema {
             name: if self.name.is_empty() {
                 "schema".to_owned()
             } else {
@@ -384,11 +447,20 @@ impl TaskSchemaBuilder {
             rules: self.rules,
             class_index,
             rule_index,
+            producer_index,
+            consumer_index,
+            rank: Vec::new(),
         };
         // Acyclicity: project onto the graph substrate, which rejects
-        // cycles at edge insertion.
-        crate::graph::SchemaGraph::new(&schema)
+        // cycles at edge insertion. Its activity order then ranks the
+        // rules once for every later cone query.
+        let graph = crate::graph::SchemaGraph::new(&schema)
             .map_err(|activity| SchemaError::CyclicSchema { activity })?;
+        let mut rank = vec![0; schema.rules.len()];
+        for (position, activity) in graph.activity_order().iter().enumerate() {
+            rank[schema.rule_index[activity]] = position;
+        }
+        schema.rank = rank;
         Ok(schema)
     }
 }
@@ -438,6 +510,54 @@ mod tests {
         let consumers = s.consumers_of("netlist");
         assert_eq!(consumers.len(), 1);
         assert_eq!(consumers[0].activity(), "Simulate");
+    }
+
+    /// The cone's activity names, in cone order.
+    fn cone_names<'a>(s: &'a TaskSchema, target: &str) -> Vec<&'a str> {
+        s.input_cone(target)
+            .into_iter()
+            .map(|i| s.rules()[i].activity())
+            .collect()
+    }
+
+    #[test]
+    fn input_cone_scopes_target() {
+        let s = crate::examples::asic_flow();
+        let all = crate::SchemaGraph::for_schema(&s).activity_order();
+        let for_netlist = cone_names(&s, "netlist");
+        assert!(for_netlist.len() < all.len());
+        assert!(for_netlist.contains(&"Synthesize"));
+        assert!(!for_netlist.contains(&"Route"));
+        // Dependency order: the global activity order restricted to
+        // the cone.
+        let restricted: Vec<&str> = all
+            .iter()
+            .map(String::as_str)
+            .filter(|a| for_netlist.contains(a))
+            .collect();
+        assert_eq!(for_netlist, restricted);
+        // By activity name: the activity and its upstream.
+        assert_eq!(cone_names(&s, "Synthesize"), for_netlist);
+    }
+
+    #[test]
+    fn input_cone_of_non_targets_is_empty() {
+        let s = circuit().build().unwrap();
+        assert!(s.input_cone("nonsense").is_empty());
+        // A tool class and a designer-supplied class name no scope.
+        assert!(s.input_cone("simulator").is_empty());
+        assert!(s.input_cone("stimuli").is_empty());
+    }
+
+    #[test]
+    fn input_cone_prefers_data_class_over_same_named_activity() {
+        let s = circuit()
+            .class("report", EntityKind::Data)
+            .rule("netlist", "report", "simulator", &["performance"])
+            .build()
+            .unwrap();
+        assert_eq!(cone_names(&s, "netlist"), ["Create"]);
+        assert_eq!(cone_names(&s, "report"), ["Create", "Simulate", "netlist"]);
     }
 
     #[test]
